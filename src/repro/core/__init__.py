@@ -1,5 +1,5 @@
 """The paper's contribution: density modularity + DMCS algorithms."""
-from .fpa import fpa, fpa_no_prune
+from .fpa import fpa
 from .modularity import (
     classic_modularity,
     cm_of,
@@ -15,7 +15,6 @@ from .steiner import steiner_connector
 
 __all__ = [
     "fpa",
-    "fpa_no_prune",
     "nca",
     "nca_dr",
     "steiner_connector",

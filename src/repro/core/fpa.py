@@ -1,10 +1,12 @@
 """Fast Peeling Algorithm (paper §5.5-§5.7, Algorithm 2).
 
-Removable nodes = current farthest BFS layer from the query seed (safe:
-every surviving node keeps a shortest path through strictly lower
-layers, so removing any subset of the farthest layer cannot disconnect
-the rest). Best node = max density ratio Θ (stable: only neighbours of a
-removed node need updates — maintained with a lazy-deletion heap).
+FPA is a caller of the Algorithm 1 driver :func:`repro.core.peel.peel`
+with a layer policy. Removable nodes = what is left of the farthest BFS
+layer from the query seed (safe: every surviving node keeps a shortest
+path through strictly lower layers, so removing any subset of the
+farthest layer cannot disconnect the rest). Best node = max density
+ratio Θ (stable: only neighbours of a removed node need updates —
+maintained with a lazy-deletion heap).
 
 Variants:
 * ``scorer="dmg"``  → FPA-DMG (Figure 14): density-modularity gain Λ,
@@ -21,57 +23,75 @@ Variants:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from functools import partial
+from typing import Iterable, List, Optional, Set
 
 from ..graphs.local import LocalGraph
 from .modularity import density_ratio, dm_gain
-from .peel import PeelState
+from .peel import PeelState, peel
 from .steiner import steiner_connector
 
 
-def _layers_from(dist: Dict[int, int]) -> List[List[int]]:
-    layers: List[List[int]] = [[] for _ in range(max(dist.values()) + 1)]
-    for v, d in dist.items():
-        layers[d].append(v)
-    return layers
+class _Layers:
+    """Removable set = the rest of the farthest layer not yet drained.
+
+    ``layers`` are the BFS layers outside the seed, innermost first; they
+    are drained outermost first, each by the subclass's ``best`` order.
+    """
+
+    def __init__(self, state: PeelState, layers: List[List[int]]) -> None:
+        self.state = state
+        self.layers = layers
+        self.cand: Set[int] = set()
+
+    def pick(self) -> Optional[int]:
+        while not self.cand:
+            if not self.layers:
+                return None
+            self.open(self.layers.pop())
+        return self.best()
+
+    def open(self, layer: List[int]) -> None:
+        self.cand = set(layer)
+
+    def remove(self, v: int) -> None:
+        self.state.remove(v)
 
 
-def _peel_layer_ratio(state: PeelState, layer: List[int], measure: str,
-                      best: FrozenSet[int], best_score: float):
-    """Drain one layer in max-Θ order with a lazy-deletion heap."""
-    heap = [(-density_ratio(state.deg[v], state.k[v]), state.k[v], v) for v in layer]
-    heapq.heapify(heap)
-    cand = set(layer)
-    while cand:
-        negt, kv, u = heapq.heappop(heap)
-        if u not in cand or state.k[u] != kv:
-            continue  # stale entry
-        cand.discard(u)
-        changed = state.remove(u)
-        for w in changed:
-            if w in cand:
-                heapq.heappush(
-                    heap, (-density_ratio(state.deg[w], state.k[w]), state.k[w], w)
-                )
-        s = state.score(measure)
-        if s >= best_score:
-            best_score, best = s, frozenset(state.S)
-    return best, best_score
+class _ThetaLayers(_Layers):
+    """Max-Θ order with a lazy-deletion heap; an entry is stale once its
+    node is gone or its ``k`` has changed."""
+
+    def open(self, layer: List[int]) -> None:
+        super().open(layer)
+        st = self.state
+        self.heap = [(-density_ratio(st.deg[v], st.k[v]), st.k[v], v) for v in layer]
+        heapq.heapify(self.heap)
+
+    def best(self) -> int:
+        k, cand = self.state.k, self.cand
+        while True:
+            _, kv, u = heapq.heappop(self.heap)
+            if u in cand and k[u] == kv:
+                cand.discard(u)
+                return u
+
+    def remove(self, v: int) -> None:
+        st = self.state
+        for w in st.remove(v):
+            if w in self.cand:
+                heapq.heappush(self.heap, (-density_ratio(st.deg[w], st.k[w]), st.k[w], w))
 
 
-def _peel_layer_dmg(state: PeelState, layer: List[int], measure: str,
-                    best: FrozenSet[int], best_score: float):
-    """Drain one layer in max-Λ order; Λ is unstable (Lemma 4) so it is
-    recomputed over all remaining candidates each removal."""
-    cand = set(layer)
-    while cand:
-        u = max(cand, key=lambda v: (dm_gain(state.k[v], state.d, state.deg[v], state.m), v))
-        cand.discard(u)
-        state.remove(u)
-        s = state.score(measure)
-        if s >= best_score:
-            best_score, best = s, frozenset(state.S)
-    return best, best_score
+class _GainLayers(_Layers):
+    """Max-Λ order; Λ is unstable (Lemma 4) so it is recomputed over all
+    remaining candidates each removal."""
+
+    def best(self) -> int:
+        st = self.state
+        u = max(self.cand, key=lambda v: (dm_gain(st.k[v], st.d, st.deg[v], st.m), v))
+        self.cand.discard(u)
+        return u
 
 
 def fpa(
@@ -82,24 +102,24 @@ def fpa(
     scorer: str = "ratio",
     measure: str = "dm",
 ) -> Optional[Set[int]]:
-    """Run FPA; returns the community node set, or None when the query
-    nodes are not in one connected component."""
+    """Run FPA; returns the community node set, or None when a query node
+    is missing or the query nodes are not in one connected component.
+
+    A component that is one BFS layer (the seed alone, e.g. an isolated
+    query node in an edgeless graph) is returned without scoring.
+    """
     qs = sorted(set(int(q) for q in queries))
     if not qs or any(q not in g for q in qs):
         return None
-    comp = g.connected_component(qs[0])
-    if any(q not in comp for q in qs):
+    try:
+        seed = steiner_connector(g, qs)  # connected ⊇ Q (singleton {q} if |Q|=1)
+    except ValueError:  # Q spans more than one component
         return None
-    seed = steiner_connector(g, qs)  # connected ⊇ Q (singleton {q} if |Q|=1)
-    dist = g.bfs_dist(seed)
-    dist = {v: d for v, d in dist.items() if v in comp}
-    state = PeelState(g, comp)
-    best: FrozenSet[int] = frozenset(comp)
-    best_score = state.score(measure)
-    if max(dist.values()) == 0:
-        return set(best)
-    layers = _layers_from(dist)
-    peel = _peel_layer_ratio if scorer == "ratio" else _peel_layer_dmg
+    # the seed is connected, so its BFS reaches exactly Q's component
+    layers = g.bfs_layers(seed)
+    comp = set().union(*layers)
+    if len(layers) == 1:
+        return comp
 
     if prune:
         # §5.7 — score each distance-prefix S_i = {v : dist(v) <= i} by
@@ -109,25 +129,19 @@ def fpa(
         # the distant layers node-by-node; the search space shrinks to
         # the chosen prefix, which is why the paper reports slightly
         # lower effectiveness than un-pruned FPA (Figure 13).
-        prefix_state = PeelState(g, comp)
-        scores = {len(layers) - 1: prefix_state.score(measure)}
-        for i in range(len(layers) - 1, 0, -1):
+        coarse = PeelState(g, comp)
+        outer = list(range(1, len(layers)))
+
+        def drop_layer(i: int) -> None:
             for v in layers[i]:
-                prefix_state.remove(v)
-            scores[i - 1] = prefix_state.score(measure)
-        i_star = max(scores, key=lambda i: (scores[i], -i))
-        keep = set().union(*(layers[: i_star + 1]))
-        state = PeelState(g, keep)
-        best, best_score = frozenset(keep), state.score(measure)
-        for i in range(i_star, 0, -1):
-            best, best_score = peel(state, list(layers[i]), measure, best, best_score)
-        return set(best)
+                coarse.remove(v)
 
-    for i in range(len(layers) - 1, 0, -1):
-        best, best_score = peel(state, list(layers[i]), measure, best, best_score)
-    return set(best)
+        _, dropped = peel(lambda: outer.pop() if outer else None, drop_layer,
+                          partial(coarse.score, measure))
+        layers = layers[: len(layers) - dropped]
+        comp = set().union(*layers)
 
-
-def fpa_no_prune(g: LocalGraph, queries: Iterable[int], **kw) -> Optional[Set[int]]:
-    """FPA without the §5.7 pruning strategy (Figure 13 comparison)."""
-    return fpa(g, queries, prune=False, **kw)
+    state = PeelState(g, comp)
+    walk = (_ThetaLayers if scorer == "ratio" else _GainLayers)(state, layers[1:])
+    order, best_i = peel(walk.pick, walk.remove, partial(state.score, measure))
+    return comp.difference(order[:best_i])

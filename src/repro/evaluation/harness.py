@@ -26,7 +26,7 @@ from ..baselines import (
     kt,
     wu2015,
 )
-from ..core import dm_of, fpa, fpa_no_prune, nca, nca_dr
+from ..core import dm_of, fpa, nca, nca_dr
 from ..graphs.local import LocalGraph
 from ..graphs.localops import core_numbers, truss_numbers
 from .metrics import score_against_best_truth

@@ -1,7 +1,7 @@
 """FPA invariants and behaviours (Algorithm 2, §5.5-§5.7)."""
 import pytest
 
-from repro.core import dm_of, fpa, fpa_no_prune
+from repro.core import dm_of, fpa
 from repro.gendata.classic import karate, ring_of_cliques
 from repro.gendata.lfr import lfr_graph
 
@@ -86,7 +86,7 @@ class TestVariants:
         g, comms = lfr_small
         q = next(iter(comms[0]))
         r1 = fpa(g, [q], prune=True)
-        r2 = fpa_no_prune(g, [q])
+        r2 = fpa(g, [q], prune=False)
         assert q in r1 and q in r2
         # pruning restricts the search space: never a better incumbent
         assert dm_of(g, r2) >= dm_of(g, r1) - 1e-9

@@ -1,12 +1,38 @@
-"""PeelState incremental bookkeeping + the §5.6 Steiner connector."""
+"""The Algorithm 1 peel driver, PeelState incremental bookkeeping and
+the §5.6 Steiner connector."""
 import pytest
 
 from repro.core.modularity import density_modularity, dm_of
-from repro.core.peel import PeelState
+from repro.core.peel import PeelState, peel
 from repro.core.steiner import steiner_connector
 from repro.graphs.local import LocalGraph
 
 from .util import GNP_CASES, random_local_graph
+
+
+def scripted_peel(scores, **kw):
+    """Peel nodes 1, 2, ... where ``scores[i]`` is the score after i removals."""
+    todo = list(range(len(scores) - 1, 0, -1))
+    removed = []
+    return peel(lambda: todo.pop() if todo else None, removed.append,
+                lambda: scores[len(removed)], **kw)
+
+
+class TestPeelDriver:
+    @pytest.mark.parametrize("scores,best_i", [
+        ([5.0], 0),  # nothing removable: the start set
+        ([5.0, 1.0, 2.0], 0),  # never improved: the start set
+        ([1.0, 3.0, 3.0, 2.0], 2),  # ties go to the latest prefix
+        ([1.0, 1.0], 1),  # the start set loses a tie too
+    ])
+    def test_incumbent_rule(self, scores, best_i):
+        order, got = scripted_peel(scores)
+        assert order == list(range(1, len(scores)))
+        assert got == best_i
+
+    def test_expired_budget_stops_before_first_pick(self):
+        order, best_i = scripted_peel([1.0, 2.0, 3.0], time_budget=-1.0)
+        assert (order, best_i) == ([], 0)
 
 
 class TestPeelState:
